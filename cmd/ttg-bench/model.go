@@ -16,7 +16,8 @@ func figModel(c *ctx) {
 	t := bench.NewTable("Eq 1: atomic RMW operations per task (move semantics)",
 		"flows (N_i)", "ops/task")
 	fmt.Println("# categories: pool, input-counter (N_IP), copy-refs (N_IC), bucket locks (N_ID),")
-	fmt.Println("#             rwlock (0 under BRAVO), scheduler (N_S), termdet (0 thread-local)")
+	fmt.Println("#             rwlock (0 under BRAVO), scheduler (N_S), termdet (0 thread-local);")
+	fmt.Println("#             locked stores are listed separately and not in the total")
 	const n = 20000
 	for flows := 1; flows <= 6; flows++ {
 		counts, perTask := eq1Run(flows, n, true)
@@ -28,6 +29,9 @@ func figModel(c *ctx) {
 		t.Add("bucket", float64(flows), float64(counts.Bucket)/n)
 		t.Add("rwlock", float64(flows), float64(counts.RWLock)/n)
 		t.Add("sched", float64(flows), float64(counts.Sched)/n)
+		// Locked stores (XCHG on amd64) are not RMWs and stay out of the
+		// Eq. 1 total, but they cost on the same per-task path.
+		t.Add("stores (not in total)", float64(flows), float64(counts.Stores)/n)
 
 		// The same chain with the plain reader-writer lock shows the two
 		// extra RMWs per hash-table access that BRAVO removes (§IV-D).

@@ -527,7 +527,7 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 	tt := g.tts[ttID]
 	t := w.NewTask()
 	t.TT = tt
-	t.SetKey(key)
+	t.SetKey(w, key)
 	t.SetNumInputs(tt.nIn)
 	t.Exec = ttExecute
 	if tt.prioFn != nil {
@@ -621,8 +621,8 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 		w.FreeTask(t)
 		return
 	}
-	t.ArmDeps(0)
-	tt.created.Add(1)
+	t.ArmDeps(w, 0)
+	w.Tally(&tt.created)
 	if g.causal {
 		t.AddCause(rt.CauseCtx{SpanID: originSpan, Rank: victim})
 		t.MarkReady()

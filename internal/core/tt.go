@@ -125,7 +125,9 @@ func (tt *TT) WithStreaming(slot int, count func(key uint64) int, reduce func(ac
 	return tt
 }
 
-// TasksCreated reports how many task instances this TT has created.
+// TasksCreated reports how many task instances this TT has created. It is
+// exact only after Wait: workers tally creations locally (rt.Worker.Tally)
+// and publish them in batches, so a mid-run read lags.
 func (tt *TT) TasksCreated() int64 { return tt.created.Load() }
 
 // totalDeps computes the number of data items required before the task for
@@ -142,7 +144,7 @@ func (tt *TT) totalDeps(key uint64) int32 {
 func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 	t := w.NewTask()
 	t.TT = tt
-	t.SetKey(key)
+	t.SetKey(w, key)
 	t.SetNumInputs(tt.nIn)
 	t.Exec = ttExecute
 	if tt.prioFn != nil {
@@ -158,8 +160,8 @@ func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 			t.SetInput(i, w.NewCopy(nil)) // the accumulator cell
 		}
 	}
-	t.ArmDeps(tt.totalDeps(key))
-	tt.created.Add(1)
+	t.ArmDeps(w, tt.totalDeps(key))
+	w.Tally(&tt.created)
 	if ft := tt.g.ft; ft != nil && tt.mapFn != nil && tt.mapFn(key) != tt.g.rank {
 		// A task instance for a key this rank does not statically own can
 		// only exist here because the owner died and its keys were re-homed.

@@ -97,7 +97,7 @@ func (r *Runtime) Insert(name string, body func(), accesses ...Access) {
 	// below, so the counter must already be live. The sentinel surplus is
 	// removed at the end, once the true dependence count is known.
 	const sentinel = 1 << 30
-	t.ArmDeps(sentinel)
+	t.ArmDeps(sw, sentinel)
 
 	// Infer dependencies from the access sequence.
 	ndeps := int32(0)

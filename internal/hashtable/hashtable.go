@@ -68,12 +68,16 @@ func (e *Entry) Key() uint64 { return e.key.Load() }
 // a table (callers set the key before NoLockInsert).
 func (e *Entry) SetKey(k uint64) { e.key.Store(k) }
 
-// Reset zeroes the entry for reuse (pool recycling). Only legal while the
-// entry is not resident in a table.
+// Reset prepares the entry for reuse (pool recycling): it clears Val and
+// the chain link. The key is left for the next SetKey to overwrite. Only
+// legal while the entry is not resident in a table. Removal already clears
+// the link, so Reset stores it only when it is set: both stores would be
+// locked instructions on the recycling path.
 func (e *Entry) Reset() {
-	e.key.Store(0)
 	e.Val = nil
-	e.next.Store(nil)
+	if e.next.Load() != nil {
+		e.next.Store(nil)
+	}
 }
 
 type bucket struct {

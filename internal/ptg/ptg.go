@@ -142,12 +142,12 @@ func (cl *Class) activate(w *rt.Worker, key uint64) {
 func (cl *Class) newTask(w *rt.Worker, key uint64, deps int32) *rt.Task {
 	t := w.NewTask()
 	t.TT = cl
-	t.SetKey(key)
+	t.SetKey(w, key)
 	t.Exec = ptgExecute
 	if cl.prioFn != nil {
 		t.Priority = cl.prioFn(key)
 	}
-	t.ArmDeps(deps)
+	t.ArmDeps(w, deps)
 	return t
 }
 

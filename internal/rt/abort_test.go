@@ -47,7 +47,7 @@ func TestPanicBecomesTaskError(t *testing.T) {
 					tk := sw.NewTask()
 					tk.Exec = exec
 					tk.TT = tt
-					tk.SetKey(uint64(i))
+					tk.SetKey(sw, uint64(i))
 					tk.SetNumInputs(1)
 					tk.SetInput(0, sw.NewCopy(i))
 					r.BeginAction()
@@ -243,7 +243,7 @@ func TestPanicInsideInlinedTask(t *testing.T) {
 		child := w.NewTask()
 		child.Exec = tk.Exec
 		child.TT = tt
-		child.SetKey(1)
+		child.SetKey(w, 1)
 		w.Discovered()
 		if !w.TryInline(child) {
 			w.Schedule(child)

@@ -44,6 +44,10 @@ func TestLLPQueueAtomicAccounting(t *testing.T) {
 	if owner.Atomics.Sched != 5 {
 		t.Fatalf("3 pushes + 2 pops accounted %d, want 5", owner.Atomics.Sched)
 	}
+	// ...but it is a locked store, like the reattach of every push: 3 + 2.
+	if owner.Atomics.Stores != 5 {
+		t.Fatalf("3 pushes + 2 pops accounted %d reattach stores, want 5", owner.Atomics.Stores)
+	}
 
 	// A steal that wins takes the remaining chain with one Swap, accounted to
 	// the thief.

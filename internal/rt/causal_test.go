@@ -26,7 +26,7 @@ func TestCausalTracingRecordsSpans(t *testing.T) {
 			nt := w.NewTask()
 			nt.Exec = exec
 			nt.TT = named("chain")
-			nt.SetKey(uint64(budget.Load()))
+			nt.SetKey(w, uint64(budget.Load()))
 			nt.AddCause(w.CauseCtx())
 			nt.MarkReady()
 			w.Discovered()

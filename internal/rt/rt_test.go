@@ -172,7 +172,7 @@ func TestArmAndSatisfyDeps(t *testing.T) {
 	r := New(cfg)
 	w := r.Workers()[0]
 	var tk Task
-	tk.ArmDeps(3)
+	tk.ArmDeps(w, 3)
 	if tk.SatisfyDep(w, 1) {
 		t.Fatal("eligible after 1/3")
 	}
@@ -182,7 +182,7 @@ func TestArmAndSatisfyDeps(t *testing.T) {
 	if !tk.SatisfyDep(w, 1) {
 		t.Fatal("not eligible after 3/3")
 	}
-	tk.ArmDeps(5)
+	tk.ArmDeps(w, 5)
 	if !tk.SatisfyDep(w, 5) {
 		t.Fatal("bulk satisfy failed")
 	}

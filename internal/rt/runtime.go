@@ -281,9 +281,10 @@ func (r *Runtime) WaitDone() {
 // categories) may be read safely.
 func (r *Runtime) Joined() bool { return r.joined.Load() }
 
-// Stats aggregates per-worker statistics. The per-worker fields are
-// atomics, so this is safe to call at any time — mid-run it returns a live
-// (per-field consistent) view; after WaitDone the final totals.
+// Stats aggregates per-worker statistics. It is safe to call at any time.
+// Workers publish their executed counts every statFlushTasks (64) tasks,
+// when they idle and when they exit, so a mid-run value lags by fewer than
+// 64 tasks per worker; after WaitDone it is exact.
 func (r *Runtime) Stats() (exec, steals, parks int64) {
 	for _, w := range r.workers {
 		exec += w.Stats.Executed.Load()
@@ -391,8 +392,9 @@ func (r *Runtime) discard(w *Worker, t *Task) {
 // CopyBalance reports data copies obtained (pool or heap) versus fully
 // released, across workers and service identities. After WaitDone — on a
 // clean run or an aborted one — the two must match; any difference is a
-// leaked, still-referenced copy. Mid-run reads are race-free (atomics) but
-// the balance is only meaningful once workers have joined.
+// leaked, still-referenced copy. Mid-run reads are race-free but see only
+// what the workers have published (see WorkerStats); the balance is only
+// meaningful once workers have joined.
 func (r *Runtime) CopyBalance() (got, put int64) {
 	for _, w := range r.workers {
 		got += w.Stats.CopiesGot.Load()

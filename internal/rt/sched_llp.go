@@ -33,6 +33,7 @@ type llpQueue struct {
 func (q *llpQueue) push(w *Worker, t *Task, prio bool) {
 	h := q.head.Swap(nil)
 	w.countAtomic(&w.Atomics.Sched)
+	w.countAtomic(&w.Atomics.Stores) // the reattach below, on every branch
 	t.next = nil
 	if h == nil {
 		q.head.Store(t)
@@ -55,6 +56,7 @@ func (q *llpQueue) pushChain(w *Worker, chain *Task, prio bool) {
 	}
 	h := q.head.Swap(nil)
 	w.countAtomic(&w.Atomics.Sched)
+	w.countAtomic(&w.Atomics.Stores) // the reattach below, on every branch
 	switch {
 	case h == nil:
 		q.head.Store(chain)
@@ -87,6 +89,7 @@ func (q *llpQueue) pop(w *Worker) *Task {
 		// Owner-only reattach: nothing can have been pushed meanwhile
 		// (pushes are owner-only and the owner is here).
 		q.head.Store(rest)
+		w.countAtomic(&w.Atomics.Stores)
 	}
 	h.next = nil
 	return h

@@ -12,7 +12,7 @@ func mkTasks(prios ...int32) []*Task {
 	out := make([]*Task, len(prios))
 	for i, p := range prios {
 		out[i] = &Task{Priority: p}
-		out[i].SetKey(uint64(i))
+		out[i].Entry.SetKey(uint64(i))
 	}
 	return out
 }

@@ -60,8 +60,11 @@ type Task struct {
 // Key returns the task's key.
 func (t *Task) Key() uint64 { return t.Entry.Key() }
 
-// SetKey sets the task's key.
-func (t *Task) SetKey(k uint64) { t.Entry.SetKey(k) }
+// SetKey sets the task's key (one atomic store, accounted as Stores).
+func (t *Task) SetKey(w *Worker, k uint64) {
+	w.countAtomic(&w.Atomics.Stores)
+	t.Entry.SetKey(k)
+}
 
 // SetNumInputs declares how many input slots the task uses.
 func (t *Task) SetNumInputs(n int) {
@@ -94,8 +97,12 @@ func (t *Task) SetInput(i int, c *Copy) {
 	t.extra[i-MaxInlineInputs] = c
 }
 
-// ArmDeps initializes the dependence counter to n.
-func (t *Task) ArmDeps(n int32) { t.deps.Store(n) }
+// ArmDeps initializes the dependence counter to n (one atomic store,
+// accounted as Stores).
+func (t *Task) ArmDeps(w *Worker, n int32) {
+	w.countAtomic(&w.Atomics.Stores)
+	t.deps.Store(n)
+}
 
 // SatisfyDep atomically consumes n dependencies and reports whether the task
 // became eligible (counter reached zero). One atomic RMW — the N_IP term of
@@ -108,7 +115,10 @@ func (t *Task) SatisfyDep(w *Worker, n int32) bool {
 // Deps returns the current dependence counter (diagnostics).
 func (t *Task) Deps() int32 { return t.deps.Load() }
 
-// reset clears a task for reuse, keeping capacity.
+// reset clears a task for reuse, keeping capacity. The key and the
+// dependence counter are left as they are: every user of a task sets them
+// (SetKey, ArmDeps) before relying on them, and clearing them here would
+// cost two locked stores per task.
 func (t *Task) reset() {
 	t.next = nil
 	t.Entry.Reset()
@@ -116,7 +126,6 @@ func (t *Task) reset() {
 	t.TT = nil
 	t.Priority = 0
 	t.Flags = 0
-	t.deps.Store(0)
 	t.nIn = 0
 	t.inputs = [MaxInlineInputs]*Copy{}
 	t.extra = t.extra[:0]
@@ -148,7 +157,7 @@ func (c *Copy) Retain(w *Worker) {
 func (c *Copy) Release(w *Worker) {
 	w.countAtomic(&w.Atomics.CopyRef)
 	if c.refs.Add(-1) == 0 {
-		w.Stats.CopiesPut.Add(1)
+		w.bump(&w.local.copiesPut, &w.Stats.CopiesPut)
 		c.Val = nil
 		if c.pool != nil {
 			c.pool.put(w, c)

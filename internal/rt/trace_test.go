@@ -24,7 +24,7 @@ func TestTracingRecordsEveryTask(t *testing.T) {
 			nt := w.NewTask()
 			nt.Exec = exec
 			nt.TT = named("chain")
-			nt.SetKey(uint64(budget.Load()))
+			nt.SetKey(w, uint64(budget.Load()))
 			w.Discovered()
 			w.Schedule(nt)
 		}
@@ -105,7 +105,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.BeginAction()
 		tk := &Task{Exec: exec, TT: named("work")}
-		tk.SetKey(uint64(i))
+		tk.SetKey(r.ServiceWorker(0), uint64(i))
 		r.Inject(tk)
 	}
 	r.EndAction()

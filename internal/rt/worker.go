@@ -20,9 +20,15 @@ type AtomicCounts struct {
 	Sched   uint64 // scheduler push/pop (N_S)
 	TermDet uint64 // termination-detection counter RMWs
 	Alloc   uint64 // heap allocations attributed to the allocator's sync
+
+	// Stores counts the atomic stores of the task path (Task.SetKey,
+	// Task.ArmDeps, the copy refcount initialisation and the LLP queue
+	// reattach). They are not RMWs, so Eq. 1 does not count them and Total
+	// leaves them out, but on amd64 each compiles to a locked XCHG.
+	Stores uint64
 }
 
-// Total sums all categories.
+// Total sums the Eq. 1 RMW categories (Stores excluded).
 func (a *AtomicCounts) Total() uint64 {
 	return a.Pool + a.Input + a.CopyRef + a.Bucket + a.RWLock + a.Sched + a.TermDet + a.Alloc
 }
@@ -37,13 +43,19 @@ func (a *AtomicCounts) add(o *AtomicCounts) {
 	a.Sched += o.Sched
 	a.TermDet += o.TermDet
 	a.Alloc += o.Alloc
+	a.Stores += o.Stores
 }
 
-// WorkerStats are per-worker execution statistics. Fields are atomics —
-// writes come only from the owning worker (uncontended, so the atomic add
-// stays on a worker-private cache line), but reads are safe from any
-// goroutine at any time, which is what lets Runtime.Stats and the metrics
-// endpoint poll a live run without a data race.
+// WorkerStats are per-worker execution statistics. Fields are atomics, so
+// reads are safe from any goroutine at any time.
+//
+// The per-task counters (Executed, Inlined and the object-lifetime pairs)
+// of an executing worker are buffered in owner-only fields and published by
+// Worker.flush: every statFlushTasks tasks, before the worker idles, and at
+// worker exit. Mid-run a worker's published values therefore lag by fewer
+// than statFlushTasks tasks' worth; after WaitDone they are exact. Service
+// workers, and the rarer counters (Steals, Parks, Discarded, Panics),
+// update the atomics directly.
 type WorkerStats struct {
 	Executed atomic.Int64 // tasks executed from the scheduler (excludes inlined)
 	Steals   atomic.Int64 // successful steals
@@ -102,11 +114,12 @@ type Worker struct {
 	// per-task fast path.
 	loadBuf int64
 
-	// Causal-tracing state: spanSeq allocates span ids, causeCtx is the
-	// ambient producer context frontends set around deliveries (see
-	// SetCauseCtx). Both owner-goroutine only.
-	spanSeq  uint64
-	causeCtx CauseCtx
+	// local buffers this worker's per-task WorkerStats deltas, and tallyN
+	// counts the Tally calls on tallyCtr not yet added to it; flush
+	// publishes both. Owner-goroutine only.
+	local    statBuf
+	tallyCtr *atomic.Int64
+	tallyN   int64
 
 	// deferred accumulates ready tasks during one execution when
 	// Config.BundleReady is set; flushed as a sorted chain at task end.
@@ -114,8 +127,30 @@ type Worker struct {
 	deferredTail *Task
 	nDeferred    int
 
-	_ [32]byte // separate workers' hot fields
+	// Causal-tracing state: spanSeq allocates span ids, causeCtx is the
+	// ambient producer context frontends set around deliveries (see
+	// SetCauseCtx). Both owner-goroutine only, and untouched unless causal
+	// tracing is on. They close the struct in place of a padding field
+	// (which would push Worker out of its 416-byte size class, see
+	// TestWorkerSizeClass): the last 32 bytes may share a cache line with
+	// whatever object the allocator places next, so they must be cold.
+	spanSeq  uint64
+	causeCtx CauseCtx
 }
+
+// statBuf holds the unpublished deltas of the per-task WorkerStats
+// counters. int32 is wide enough: flush runs at least every statFlushTasks
+// tasks, so a field would only overflow if one task body obtained or
+// released 2^31 tasks or copies.
+type statBuf struct {
+	executed, inlined    int32
+	tasksGot, tasksPut   int32
+	copiesGot, copiesPut int32
+}
+
+// statFlushTasks is how many executed or inlined tasks a worker runs
+// between flushes of its buffered statistics and Tally run.
+const statFlushTasks = 64
 
 // HTSlot returns the worker's reader-lock slot for hash-table access.
 func (w *Worker) HTSlot() int { return w.htSlot }
@@ -181,8 +216,8 @@ func (w *Worker) loadAdd(n int64) {
 }
 
 // flushLoad publishes the buffered ready-depth delta to the shared counter.
-// Called on threshold, before idling, and at worker exit, so the advertised
-// depth can under- or over-shoot by at most loadFlushDelta per busy worker.
+// Called on threshold and from flush, so the advertised depth can under- or
+// over-shoot by at most loadFlushDelta per busy worker.
 func (w *Worker) flushLoad() {
 	if w.loadBuf == 0 {
 		return
@@ -191,6 +226,76 @@ func (w *Worker) flushLoad() {
 	w.loadBuf = 0
 	if m := w.mx; m != nil {
 		m.loadFlush.Inc(w.htSlot)
+	}
+}
+
+// flush publishes every owner-only buffer of an executing worker: the
+// ready-depth delta, the per-task WorkerStats deltas and the pending Tally
+// run. The worker calls it every statFlushTasks tasks, before it idles and
+// when it exits.
+func (w *Worker) flush() {
+	w.flushLoad()
+	b, s := &w.local, &w.Stats
+	publish(&b.executed, &s.Executed)
+	publish(&b.inlined, &s.Inlined)
+	publish(&b.tasksGot, &s.TasksGot)
+	publish(&b.tasksPut, &s.TasksPut)
+	publish(&b.copiesGot, &s.CopiesGot)
+	publish(&b.copiesPut, &s.CopiesPut)
+	w.flushTally()
+}
+
+// publish moves a buffered delta into its shared counter.
+func publish(buf *int32, c *atomic.Int64) {
+	if *buf != 0 {
+		c.Add(int64(*buf))
+		*buf = 0
+	}
+}
+
+// bump counts one event in a per-task WorkerStats counter: buffered on an
+// executing worker, added directly by a service worker (which has no flush
+// points).
+func (w *Worker) bump(buf *int32, c *atomic.Int64) {
+	if w.ID < 0 {
+		c.Add(1)
+		return
+	}
+	*buf++
+}
+
+// ran counts one task run by this worker (executed or inlined) and flushes
+// the buffers every statFlushTasks runs.
+func (w *Worker) ran(buf *int32) {
+	*buf++
+	if w.local.executed+w.local.inlined >= statFlushTasks {
+		w.flush()
+	}
+}
+
+// Tally adds one to c, a counter shared by all workers (such as a template
+// task's count of created tasks), without touching its cache line on every
+// call: an executing worker counts a run of Tally calls on the same counter
+// locally and adds the run to c when the counter changes or at the next
+// flush. So c is exact once the workers have exited (after WaitDone) and
+// lags mid-run. Service workers add to c directly.
+func (w *Worker) Tally(c *atomic.Int64) {
+	if w.ID < 0 {
+		c.Add(1)
+		return
+	}
+	if c != w.tallyCtr {
+		w.flushTally()
+		w.tallyCtr = c
+	}
+	w.tallyN++
+}
+
+// flushTally adds the pending Tally run to its counter.
+func (w *Worker) flushTally() {
+	if c := w.tallyCtr; c != nil {
+		c.Add(w.tallyN)
+		w.tallyCtr, w.tallyN = nil, 0
 	}
 }
 
@@ -215,9 +320,11 @@ func (w *Worker) nextVictim() uint64 {
 // Runtime returns the owning runtime.
 func (w *Worker) Runtime() *Runtime { return w.rt }
 
-// NewTask obtains a task object (recycled when pools are enabled).
+// NewTask obtains a task object (recycled when pools are enabled). A
+// recycled task's key and dependence counter are stale until the caller
+// sets them with SetKey and ArmDeps.
 func (w *Worker) NewTask() *Task {
-	w.Stats.TasksGot.Add(1)
+	w.bump(&w.local.tasksGot, &w.Stats.TasksGot)
 	var t *Task
 	if w.rt.cfg.UsePools {
 		t = w.TaskPool.Get(w)
@@ -236,7 +343,7 @@ func (w *Worker) NewTask() *Task {
 
 // FreeTask recycles a task to its owning pool (or drops it for the GC).
 func (w *Worker) FreeTask(t *Task) {
-	w.Stats.TasksPut.Add(1)
+	w.bump(&w.local.tasksPut, &w.Stats.TasksPut)
 	if t.pool != nil {
 		t.pool.Put(w, t)
 	}
@@ -245,7 +352,7 @@ func (w *Worker) FreeTask(t *Task) {
 // NewCopy wraps a value in a reference-counted copy with refcount 1.
 func (w *Worker) NewCopy(v any) *Copy {
 	var c *Copy
-	w.Stats.CopiesGot.Add(1)
+	w.bump(&w.local.copiesGot, &w.Stats.CopiesGot)
 	if w.rt.cfg.UsePools {
 		c = w.copies.get(w)
 	} else {
@@ -257,6 +364,7 @@ func (w *Worker) NewCopy(v any) *Copy {
 	}
 	c.Val = v
 	c.refs.Store(1)
+	w.countAtomic(&w.Atomics.Stores)
 	return c
 }
 
@@ -335,7 +443,7 @@ func (w *Worker) run() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	defer w.flushLoad()
+	defer w.flush()
 	for {
 		t := w.findTask()
 		if t != nil {
@@ -353,7 +461,7 @@ func (w *Worker) run() {
 		if f := rt.idleHook; f != nil {
 			f()
 		}
-		w.flushLoad() // publish buffered deltas before advertising idleness
+		w.flush() // publish buffered deltas before advertising idleness
 		rt.Det.EnterIdle(w.ID)
 		spins := 0
 		for {
@@ -414,7 +522,7 @@ func (w *Worker) execute(t *Task) {
 	if m != nil {
 		m.executed.Inc(w.htSlot)
 	}
-	w.Stats.Executed.Add(1)
+	w.ran(&w.local.executed)
 }
 
 // invoke runs one task's Exec with panic isolation: a panicking body is
@@ -492,7 +600,7 @@ func (w *Worker) inlineInvoke(t *Task) {
 	} else {
 		w.invoke(t)
 	}
-	w.Stats.Inlined.Add(1)
+	w.ran(&w.local.inlined)
 }
 
 // TryInline executes an eligible task immediately on this worker if task
